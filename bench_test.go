@@ -619,3 +619,79 @@ func BenchmarkTraceMine(b *testing.B) {
 	}
 	b.ReportMetric(float64(spans)*float64(b.N)/b.Elapsed().Seconds(), "spans/s")
 }
+
+// keepStepVisits runs one seeded class-A testbed batch with per-step traces
+// retained and returns its visits in ID order.
+func keepStepVisits(b *testing.B, visits int64) []telemetry.VisitTrace {
+	b.Helper()
+	cluster, err := testbed.New(travelagency.DefaultParams(), testbed.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	col := telemetry.NewCollector(int(visits))
+	g := testbed.LoadGen{
+		Cluster: cluster, Class: travelagency.ClassA,
+		Visits: visits, Workers: 1, Seed: 1, KeepSteps: true,
+	}
+	if err := g.Run(col); err != nil {
+		b.Fatal(err)
+	}
+	return col.Traces()
+}
+
+// BenchmarkBridgeOnVisit measures the per-visit observability path: one
+// KeepSteps class-A visit folded into a metrics registry and a span tracer,
+// with every series already registered — the cost the live testbed pays on
+// each visit it records.
+func BenchmarkBridgeOnVisit(b *testing.B) {
+	visits := keepStepVisits(b, 1000)
+	bridge := obs.NewBridge(obs.NewRegistry(), obs.NewTracer(6000), nil)
+	for _, v := range visits {
+		bridge.OnVisit(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bridge.OnVisit(visits[i%len(visits)])
+	}
+}
+
+// BenchmarkRegistryLookup measures finding existing labelled series: one
+// counter and one histogram lookup per op, the pair a call site re-registers
+// on its hot path.
+func BenchmarkRegistryLookup(b *testing.B) {
+	reg := obs.NewRegistry()
+	class := obs.Label{Key: "class", Value: "class A"}
+	fn := obs.Label{Key: "function", Value: "Search"}
+	reg.MustCounter("ta_visits_total", "visits", class, fn)
+	reg.MustHistogram("ta_step_latency_seconds", "latency", 1e-3, 2, 22, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.MustCounter("ta_visits_total", "visits", fn, class).Inc()
+		reg.MustHistogram("ta_step_latency_seconds", "latency", 1e-3, 2, 22, fn).Observe(0.01)
+	}
+}
+
+// BenchmarkFoldRing measures tracemine.Fold over a full 6000-visit span ring
+// of KeepSteps class-A visits — the tree reconstruction every live mining
+// pass starts with.
+func BenchmarkFoldRing(b *testing.B) {
+	const visits = 6000
+	tracer := obs.NewTracer(visits)
+	bridge := obs.NewBridge(nil, tracer, nil)
+	for _, v := range keepStepVisits(b, visits) {
+		bridge.OnVisit(v)
+	}
+	traces := tracer.Traces()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vs, st := tracemine.Fold(traces)
+		if st.Visits != visits {
+			b.Fatalf("folded %d visits, want %d", st.Visits, visits)
+		}
+		sink += float64(len(vs))
+	}
+}

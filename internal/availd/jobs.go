@@ -40,7 +40,9 @@ type job struct {
 	id      string
 	kind    string
 	request []byte
-	run     func(context.Context) ([]byte, error)
+	// run is the evaluation closure; it is dropped once the job is terminal
+	// so a finished job does not pin the parsed spec it closes over.
+	run func(context.Context) ([]byte, error)
 
 	mu     sync.Mutex
 	state  JobState
@@ -123,6 +125,7 @@ func (e *Engine) Close() {
 				e.cancelled.Add(1)
 				close(j.done)
 			}
+			j.run = nil
 			j.mu.Unlock()
 		default:
 			return
@@ -151,13 +154,15 @@ func (e *Engine) execute(j *job) {
 	ctx, cancel := context.WithCancel(e.base)
 	j.state = JobRunning
 	j.cancel = cancel
+	run := j.run
 	j.mu.Unlock()
 	defer cancel()
 
-	result, err := j.run(ctx)
+	result, err := run(ctx)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.run = nil
 	switch {
 	case j.state == JobCancelled || ctx.Err() != nil:
 		// Cancel won the race (or shutdown): the result is discarded.
@@ -253,6 +258,7 @@ func (e *Engine) Cancel(id string) (Job, error) {
 	switch j.state {
 	case JobQueued:
 		j.state = JobCancelled
+		j.run = nil
 		e.cancelled.Add(1)
 		close(j.done)
 	case JobRunning:

@@ -236,3 +236,68 @@ func TestEngineCloseDrainsQueuedJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineDropsRunClosures is the regression test for the job-closure
+// leak: every terminal path — done, failed, cancelled while queued, and
+// cancelled by Close's drain — must drop the job's run closure, so the parsed
+// spec it closes over is not retained for the server's whole life.
+func TestEngineDropsRunClosures(t *testing.T) {
+	runOf := func(e *Engine, id string) func(context.Context) ([]byte, error) {
+		e.mu.Lock()
+		j := e.jobs[id]
+		e.mu.Unlock()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.run
+	}
+	e := NewEngine(1, 4)
+	ok, err := e.Submit("ok", nil, func(ctx context.Context) ([]byte, error) { return []byte(`{}`), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := e.Submit("fail", nil, func(ctx context.Context) ([]byte, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{ok.ID, bad.ID} {
+		waitState(t, e, id)
+		if runOf(e, id) != nil {
+			t.Errorf("job %s still holds its run closure after finishing", id)
+		}
+	}
+
+	// Occupy the only worker so the next submissions stay queued.
+	started := make(chan struct{})
+	if _, err := e.Submit("runner", nil, func(ctx context.Context) ([]byte, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	idle := func(ctx context.Context) ([]byte, error) { return nil, nil }
+	cancelled, err := e.Submit("cancelled", nil, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained, err := e.Submit("drained", nil, idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Cancel(cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	if runOf(e, cancelled.ID) != nil {
+		t.Error("job cancelled while queued still holds its run closure")
+	}
+	e.Close()
+	if j := waitState(t, e, drained.ID); j.State != JobCancelled {
+		t.Fatalf("queued job after Close: state %s, want cancelled", j.State)
+	}
+	for _, j := range e.List() {
+		if runOf(e, j.ID) != nil {
+			t.Errorf("job %s (%s) still holds its run closure after Close", j.ID, j.State)
+		}
+	}
+}

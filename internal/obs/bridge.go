@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/telemetry"
 )
 
@@ -14,6 +17,55 @@ type Bridge struct {
 	drift  *DriftDetector
 
 	visitDuration *Histogram
+	// Series resolved on a key's first visit and reused afterwards. The
+	// failure and resource-down series are not cached: they are looked up
+	// (and so registered) only when a failure first occurs, which keeps the
+	// exposition identical to registering every series on use.
+	visits    handleCache[*Counter]        // ta_visits_total by class
+	functions handleCache[functionHandles] // per-function series by name
+}
+
+// functionHandles are the series every invocation of one function updates.
+type functionHandles struct {
+	invocations *Counter
+	stepLatency *Histogram
+}
+
+// handleCache maps a label value to series handles resolved once. Reads are a
+// lock-free lookup in an immutable map; the first use of a key copies the map
+// under a mutex. Keys are label values drawn from the model (classes,
+// functions), so the map stays small.
+type handleCache[V any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]V]
+}
+
+// get returns the handles for key, calling resolve on the key's first use.
+func (c *handleCache[V]) get(key string, resolve func(string) V) V {
+	if v, ok := c.load()[key]; ok {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := c.load()
+	if v, ok := cur[key]; ok {
+		return v
+	}
+	next := make(map[string]V, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	v := resolve(key)
+	next[key] = v
+	c.m.Store(&next)
+	return v
+}
+
+func (c *handleCache[V]) load() map[string]V {
+	if p := c.m.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // NewBridge wires a bridge over the given sinks.
@@ -40,10 +92,25 @@ func (b *Bridge) OnVisit(tr telemetry.VisitTrace) {
 	}
 }
 
+func (b *Bridge) visitCounter(class string) *Counter {
+	return b.reg.MustCounter("ta_visits_total", "completed user visits",
+		Label{Key: "class", Value: class})
+}
+
+func (b *Bridge) functionSeries(function string) functionHandles {
+	fl := Label{Key: "function", Value: function}
+	return functionHandles{
+		invocations: b.reg.MustCounter("ta_function_invocations_total",
+			"function invocations across all visits", fl),
+		stepLatency: b.reg.MustHistogram("ta_step_latency_seconds",
+			"executed diagram-step latency, model seconds", 1e-3, 2, 22, fl),
+	}
+}
+
 func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
-	class := Label{Key: "class", Value: tr.Class}
-	b.reg.MustCounter("ta_visits_total", "completed user visits", class).Inc()
+	b.visits.get(tr.Class, b.visitCounter).Inc()
 	if !tr.OK {
+		class := Label{Key: "class", Value: tr.Class}
 		b.reg.MustCounter("ta_visit_failures_total",
 			"failed visits by first cause", class,
 			Label{Key: "cause", Value: string(tr.Cause)}).Inc()
@@ -55,15 +122,13 @@ func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
 	}
 	b.visitDuration.Observe(tr.Duration)
 	for _, fn := range tr.Functions {
-		fl := Label{Key: "function", Value: fn.Function}
-		b.reg.MustCounter("ta_function_invocations_total",
-			"function invocations across all visits", fl).Inc()
+		fh := b.functions.get(fn.Function, b.functionSeries)
+		fh.invocations.Inc()
 		if !fn.OK {
 			b.reg.MustCounter("ta_function_failures_total",
-				"failed function invocations", fl).Inc()
+				"failed function invocations", Label{Key: "function", Value: fn.Function}).Inc()
 		}
-		h := b.reg.MustHistogram("ta_step_latency_seconds",
-			"executed diagram-step latency, model seconds", 1e-3, 2, 22, fl)
+		h := fh.stepLatency
 		for _, st := range fn.Steps {
 			h.Observe(st.Latency)
 		}
@@ -81,68 +146,46 @@ func (b *Bridge) recordMetrics(tr telemetry.VisitTrace) {
 // within each step. When the load generator ran without per-step tracing, the
 // tree stops at the function level.
 func VisitSpans(tr telemetry.VisitTrace) Trace {
-	out := Trace{Spans: make([]Span, 0, 1+2*len(tr.Functions))}
+	n := 1 + len(tr.Functions)
+	for _, fn := range tr.Functions {
+		n += len(fn.Steps)
+		for _, st := range fn.Steps {
+			n += len(st.Services)
+		}
+	}
+	spans := make([]Span, n)
 	id := 0
-	add := func(sp Span) int {
+	// open fills the next slot in place, stamping the trace and the next
+	// 1-based ID, and returns the new span's ID.
+	open := func(parent int, level Level, name string, start, duration float64, ok bool, cause telemetry.Cause) int {
+		sp := &spans[id]
 		id++
-		sp.Trace = tr.ID
-		sp.ID = id
-		out.Spans = append(out.Spans, sp)
+		sp.Trace, sp.ID, sp.Parent, sp.Level, sp.Name = tr.ID, id, parent, level, name
+		sp.Start, sp.Duration, sp.OK, sp.Cause = start, duration, ok, string(cause)
 		return id
 	}
-	root := add(Span{
-		Parent:   0,
-		Level:    LevelVisit,
-		Name:     tr.Scenario,
-		Start:    tr.Start,
-		Duration: tr.Duration,
-		OK:       tr.OK,
-		Cause:    string(tr.Cause),
-		Attrs:    visitAttrs(tr),
-	})
+	root := open(0, LevelVisit, tr.Scenario, tr.Start, tr.Duration, tr.OK, tr.Cause)
+	spans[0].Attrs = visitAttrs(tr)
 	at := tr.Start
 	for _, fn := range tr.Functions {
-		fnID := add(Span{
-			Parent:   root,
-			Level:    LevelFunction,
-			Name:     fn.Function,
-			Start:    at,
-			Duration: fn.Duration,
-			OK:       fn.OK,
-			Cause:    string(fn.Cause),
-		})
+		fnID := open(root, LevelFunction, fn.Function, at, fn.Duration, fn.OK, fn.Cause)
 		at += fn.Duration
 		for _, st := range fn.Steps {
-			stID := add(Span{
-				Parent:   fnID,
-				Level:    LevelStep,
-				Name:     st.Step,
-				Start:    st.At,
-				Duration: st.Latency,
-				OK:       st.OK,
-				Cause:    string(st.Cause),
-			})
+			stID := open(fnID, LevelStep, st.Step, st.At, st.Latency, st.OK, st.Cause)
 			for _, svc := range st.Services {
 				ok := !(svc == st.FailedService && !st.OK)
-				sp := Span{
-					Parent: stID,
-					Level:  LevelResource,
-					Name:   svc,
-					Start:  st.At,
-					// Per-call latencies are not retained (the step records
-					// the max over its parallel fan-out), so every resource
-					// span inherits the step latency.
-					Duration: st.Latency,
-					OK:       ok,
-				}
+				cause := telemetry.CauseNone
 				if !ok {
-					sp.Cause = string(st.Cause)
+					cause = st.Cause
 				}
-				add(sp)
+				// Per-call latencies are not retained (the step records the
+				// max over its parallel fan-out), so every resource span
+				// inherits the step latency.
+				open(stID, LevelResource, svc, st.At, st.Latency, ok, cause)
 			}
 		}
 	}
-	return out
+	return Trace{Spans: spans}
 }
 
 func visitAttrs(tr telemetry.VisitTrace) map[string]string {

@@ -95,7 +95,14 @@ func TestBridgeConcurrent(t *testing.T) {
 		go func(base uint64) {
 			defer wg.Done()
 			for i := uint64(0); i < 500; i++ {
-				col.RecordVisit(bridgeVisit(base*500+i, i%2 == 0))
+				// Two classes and three functions, so the bridge's handle
+				// caches are first filled from several goroutines at once.
+				v := bridgeVisit(base*500+i, i%2 == 0)
+				if base%2 == 1 {
+					v.Class = "class B"
+				}
+				v.Functions[0].Function = []string{"Home", "Browse", "Search"}[i%3]
+				col.RecordVisit(v)
 			}
 		}(uint64(w))
 	}
@@ -104,7 +111,50 @@ func TestBridgeConcurrent(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if want := `ta_visits_total{class="class A"} 2000`; !strings.Contains(sb.String(), want) {
-		t.Errorf("missing %q:\n%s", want, sb.String())
+	for _, want := range []string{
+		`ta_visits_total{class="class A"} 1000`,
+		`ta_visits_total{class="class B"} 1000`,
+		`ta_function_invocations_total{function="Browse"} 668`,
+		`ta_function_invocations_total{function="Home"} 668`,
+		`ta_function_invocations_total{function="Search"} 664`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestBridgeRegistersFailureSeriesOnFirstUse: the failure and resource-down
+// series appear in the exposition only once a failure has occurred, even
+// though the bridge caches its per-class and per-function handles.
+func TestBridgeRegistersFailureSeriesOnFirstUse(t *testing.T) {
+	reg := NewRegistry()
+	b := NewBridge(reg, nil, nil)
+	failureSeries := []string{"ta_visit_failures_total", "ta_visit_resource_down_total", "ta_function_failures_total"}
+	render := func() string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	for i := 0; i < 5; i++ {
+		b.OnVisit(bridgeVisit(uint64(i), true))
+	}
+	out := render()
+	for _, name := range failureSeries {
+		if strings.Contains(out, name) {
+			t.Errorf("%s registered before any failure:\n%s", name, out)
+		}
+	}
+	b.OnVisit(bridgeVisit(5, false))
+	out = render()
+	for _, name := range failureSeries {
+		if !strings.Contains(out, name+"{") {
+			t.Errorf("%s missing after a failure:\n%s", name, out)
+		}
+	}
+	if want := `ta_visits_total{class="class A"} 6`; !strings.Contains(out, want) {
+		t.Errorf("missing %q:\n%s", want, out)
 	}
 }

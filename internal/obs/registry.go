@@ -176,46 +176,78 @@ func validName(s string) bool {
 	return true
 }
 
-// renderLabels builds the canonical {k="v",...} signature with keys sorted,
-// escaping backslashes, quotes and newlines in values.
-func renderLabels(labels []Label) (string, error) {
+// appendLabels renders the canonical {k="v",...} signature with keys sorted
+// onto dst, escaping backslashes, quotes and newlines in values. It does not
+// allocate when dst has room, which is what keeps a lookup of an existing
+// series allocation-free.
+func appendLabels(dst []byte, labels []Label) ([]byte, error) {
 	if len(labels) == 0 {
-		return "", nil
+		return dst, nil
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var sb strings.Builder
-	sb.WriteByte('{')
+	// Sort a copy in a stack array; only a set of more than eight labels
+	// spills to the heap.
+	var stack [8]Label
+	ls := append(stack[:0], labels...)
+	// Insertion sort: label sets are a handful long, and sort.Slice would
+	// allocate its closure and swapper.
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	dst = append(dst, '{')
 	for i, l := range ls {
 		if !validName(l.Key) || l.Key == "__name__" {
-			return "", fmt.Errorf("%w: label name %q", ErrRegistry, l.Key)
+			return dst, fmt.Errorf("%w: label name %q", ErrRegistry, l.Key)
 		}
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		sb.WriteString(l.Key)
-		sb.WriteString(`="`)
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(l.Value)
-		sb.WriteString(v)
-		sb.WriteByte('"')
+		dst = append(dst, l.Key...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, l.Value)
+		dst = append(dst, '"')
 	}
-	sb.WriteByte('}')
-	return sb.String(), nil
+	return append(dst, '}'), nil
+}
+
+// appendEscaped appends a label value, escaping backslash, quote and newline
+// as the exposition format requires.
+func appendEscaped(dst []byte, v string) []byte {
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return append(dst, v...)
+	}
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			dst = append(dst, `\\`...)
+		case '"':
+			dst = append(dst, `\"`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // register resolves or creates the series for (name, labels, kind). build is
-// called to construct a fresh series when none exists.
+// called to construct a fresh series when none exists. Finding an existing
+// series allocates nothing: the signature is rendered into a stack buffer and
+// only converted to a string when a new series stores it.
 func (r *Registry) register(name, help string, kind metricKind, labels []Label, build func() *series) (*series, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("%w: metric name %q", ErrRegistry, name)
 	}
-	sig, err := renderLabels(labels)
+	var buf [256]byte
+	sig, err := appendLabels(buf[:0], labels)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok && f.kind == kind {
-		if s, ok := f.series[sig]; ok {
+		if s, ok := f.series[string(sig)]; ok {
 			r.mu.RUnlock()
 			return s, nil
 		}
@@ -233,12 +265,12 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label, 
 		return nil, fmt.Errorf("%w: metric %q registered as %s, requested %s",
 			ErrRegistry, name, f.kind.promType(), kind.promType())
 	}
-	s, ok := f.series[sig]
+	s, ok := f.series[string(sig)]
 	if !ok {
 		s = build()
-		s.labels = sig
+		s.labels = string(sig)
 		s.kind = kind
-		f.series[sig] = s
+		f.series[s.labels] = s
 	}
 	return s, nil
 }
@@ -308,13 +340,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 }
 
 // Histogram registers (or finds) a histogram series with the given geometric
-// bucket layout (see telemetry.NewHistogram).
+// bucket layout (see telemetry.NewHistogram). The layout is validated on every
+// call, but the histogram is built only when the series is created.
 func (r *Registry) Histogram(name, help string, base, factor float64, buckets int, labels ...Label) (*Histogram, error) {
-	th, err := telemetry.NewHistogram(base, factor, buckets)
-	if err != nil {
+	if err := telemetry.ValidateHistogram(base, factor, buckets); err != nil {
 		return nil, err
 	}
 	s, err := r.register(name, help, kindHistogram, labels, func() *series {
+		th, _ := telemetry.NewHistogram(base, factor, buckets) // layout validated above
 		return &series{hist: &Histogram{h: th}}
 	})
 	if err != nil {

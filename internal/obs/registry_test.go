@@ -74,13 +74,80 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.MustCounter("esc_total", "", Label{Key: "v", Value: `a"b\c` + "\n"})
+	for _, tc := range []struct {
+		labels []Label
+		want   string
+	}{
+		{[]Label{{"v", "plain value"}}, `esc_total{v="plain value"} 0`},
+		{[]Label{{"v", `a\b`}}, `esc_total{v="a\\b"} 0`},
+		{[]Label{{"v", `a"b`}}, `esc_total{v="a\"b"} 0`},
+		{[]Label{{"v", "a\nb"}}, `esc_total{v="a\nb"} 0`},
+		{[]Label{{"v", `a"b\c` + "\n"}}, `esc_total{v="a\"b\\c\n"} 0`},
+		// Keys are sorted into the signature whatever order they arrive in.
+		{[]Label{{"zone", "z"}, {"app", "a"}, {"mid", `m"`}, {"b", "1"}},
+			`esc_total{app="a",b="1",mid="m\"",zone="z"} 0`},
+	} {
+		r.MustCounter("esc_total", "", tc.labels...)
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), tc.want+"\n") {
+			t.Errorf("escaped series %q missing from:\n%s", tc.want, sb.String())
+		}
+	}
+	// The same label set in another order finds the same series.
+	a := r.MustCounter("esc_total", "", Label{"b", "1"}, Label{"zone", "z"}, Label{"mid", `m"`}, Label{"app", "a"})
+	b := r.MustCounter("esc_total", "", Label{"mid", `m"`}, Label{"app", "a"}, Label{"zone", "z"}, Label{"b", "1"})
+	if a != b {
+		t.Error("reordered labels resolved to a second series")
+	}
+}
+
+// TestWarmLookupsDoNotAllocate pins the registry's cost model: finding an
+// existing labelled series allocates nothing, so call sites may re-register
+// on their hot paths.
+func TestWarmLookupsDoNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	class := Label{Key: "class", Value: "class A"}
+	fn := Label{Key: "function", Value: "Search"}
+	r.MustCounter("warm_total", "", class, fn)
+	r.MustHistogram("warm_seconds", "", 1e-3, 2, 22, fn)
+	if n := testing.AllocsPerRun(100, func() {
+		r.MustCounter("warm_total", "", fn, class).Inc()
+	}); n != 0 {
+		t.Errorf("warm labelled Counter lookup: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.MustHistogram("warm_seconds", "", 1e-3, 2, 22, fn).Observe(0.01)
+	}); n != 0 {
+		t.Errorf("warm Histogram lookup: %v allocs, want 0", n)
+	}
+}
+
+// TestHistogramLayoutValidatedOnLookup: the layout is checked on every call,
+// not only when the series is created.
+func TestHistogramLayoutValidatedOnLookup(t *testing.T) {
+	r := NewRegistry()
+	fn := Label{Key: "function", Value: "Home"}
+	r.MustHistogram("layout_seconds", "", 1e-3, 2, 22, fn)
+	for _, bad := range []struct {
+		base, factor float64
+		buckets      int
+	}{{0, 2, 22}, {1e-3, 1, 22}, {1e-3, 2, 2}, {math.Inf(1), 2, 22}} {
+		if _, err := r.Histogram("layout_seconds", "", bad.base, bad.factor, bad.buckets, fn); err == nil {
+			t.Errorf("layout %+v accepted on an existing series", bad)
+		}
+		if _, err := r.Histogram("layout_new_seconds", "", bad.base, bad.factor, bad.buckets); err == nil {
+			t.Errorf("layout %+v accepted on a new series", bad)
+		}
+	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if want := `esc_total{v="a\"b\\c\n"} 0`; !strings.Contains(sb.String(), want) {
-		t.Errorf("escaped series %q missing from:\n%s", want, sb.String())
+	if strings.Contains(sb.String(), "layout_new_seconds") {
+		t.Error("a rejected layout registered a series")
 	}
 }
 

@@ -21,17 +21,26 @@ type Histogram struct {
 	logFac  float64
 }
 
+// ValidateHistogram reports whether NewHistogram accepts the layout, without
+// building the histogram.
+func ValidateHistogram(base, factor float64, buckets int) error {
+	if !(base > 0) || math.IsInf(base, 0) {
+		return fmt.Errorf("telemetry: histogram base %v", base)
+	}
+	if !(factor > 1) || math.IsInf(factor, 0) {
+		return fmt.Errorf("telemetry: histogram factor %v", factor)
+	}
+	if buckets < 3 {
+		return fmt.Errorf("telemetry: %d buckets (need ≥ 3)", buckets)
+	}
+	return nil
+}
+
 // NewHistogram creates a histogram with the given smallest bucket bound,
 // geometric growth factor, and bucket count.
 func NewHistogram(base, factor float64, buckets int) (*Histogram, error) {
-	if !(base > 0) || math.IsInf(base, 0) {
-		return nil, fmt.Errorf("telemetry: histogram base %v", base)
-	}
-	if !(factor > 1) || math.IsInf(factor, 0) {
-		return nil, fmt.Errorf("telemetry: histogram factor %v", factor)
-	}
-	if buckets < 3 {
-		return nil, fmt.Errorf("telemetry: %d buckets (need ≥ 3)", buckets)
+	if err := ValidateHistogram(base, factor, buckets); err != nil {
+		return nil, err
 	}
 	return &Histogram{
 		base:    base,
